@@ -4,13 +4,13 @@ Usage, from the root of a checkout::
 
     python3 perfbench/run.py --workload train-opamp --seed 1 --seconds 20 --trace 0
 
-The workload's inputs come from ``--seed``; ``--seconds`` sets how much
-work one run does.  With ``--trace 0`` the last line of standard output is
-the end-to-end result; with ``--trace 1`` the run measures the workload
-untraced and then again with spans around the program's layers, and the
-last line carries the per-layer metrics (including tracing overhead).  The
-line before it is a report: provenance, the workload-specific figures and,
-for a traced run, the per-span table.  A failed correctness check prints
+The workload's inputs come from ``--seed``; ``--seconds`` sets how long one
+run measures.  With ``--trace 0`` the last line of standard output is the
+end-to-end result; with ``--trace 1`` the run measures the workload
+untraced and then again with spans around the program's layers, each pass
+for half of ``--seconds``, and the last line carries the per-layer metrics
+(including tracing overhead).  The line before it is a report: provenance,
+the workload-specific figures and, for a traced run, the per-span table.  A failed correctness check prints
 ``"correct": false`` and exits 1; a tree without the program exits 2.
 """
 
@@ -99,6 +99,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> int:
     from perfbench.layers import HOOKS, PER_LAYER, TARGETS, layer_metrics
     from perfbench.metrics import median
     from perfbench.tracing import Tracer
+    from perfbench.workload import UnitClock
 
     module = {
         "train-opamp": train_opamp,
@@ -107,15 +108,16 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> int:
     }[workload]
     problems = []
     probes = [host_probe_ms()]
+    # A traced run measures twice (untraced, then traced) in the same time.
+    pass_seconds = seconds / 2 if trace else seconds
     with tempfile.TemporaryDirectory(prefix=".perfbench-", dir=ROOT) as scratch:
         workdir = Path(scratch)
-        setup_s = []
+        setups = UnitClock()
 
         def timed_setup():
             gc.collect()  # garbage left by the previous step is not set-up work
-            began = time.perf_counter()
-            state = module.setup(seed, seconds, workdir)
-            setup_s.append(time.perf_counter() - began)
+            with setups.unit():
+                state = module.setup(seed, pass_seconds, workdir)
             return state
 
         for _ in range(SETUPS_BEFORE - 1):
@@ -130,7 +132,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> int:
             module.close(timed_setup())
         shown = untraced
         if trace:
-            state = module.setup(seed, seconds, workdir)
+            state = module.setup(seed, pass_seconds, workdir)
             tracer = Tracer()
             try:
                 with tracer.install(TARGETS, HOOKS):
@@ -144,7 +146,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> int:
                 module.close(state)
 
     probes.append(host_probe_ms())
-    end_to_end = dict(untraced.end_to_end, setup_s=median(setup_s))
+    end_to_end = dict(untraced.end_to_end, setup_s=median(setups.scaled))
     report = {
         "workload": workload,
         "seed": seed,
@@ -157,7 +159,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> int:
             "numpy": np.__version__,
             "host_probe_ms": probes,
         },
-        "setup_s_samples": setup_s,
+        "setup_s_samples": setups.raw,
         "end_to_end": end_to_end,
         "fail_frac": shown.outcomes.fail_frac,
         "details": shown.details,

@@ -5,11 +5,13 @@ runs on ``opamp-mna-v0`` (one MNA solve per simulation), and its best
 sizing is then swept over Monte-Carlo process/temperature points riding
 the batched corner lanes.  The search runs to its full budget instead of
 stopping at the first sizing that meets the specs, so every group does the
-same work.  Neither MNA use runs in the other two workloads.
+same work.  Groups run until ``--seconds`` are used.  Neither MNA use runs
+in the other two workloads.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,21 +27,22 @@ from repro.simulation.base import SimulationResult
 from repro.simulation.opamp_sim import OpAmpSimulator
 
 from perfbench.metrics import Outcomes, median
-from perfbench.workload import Measurement, int_seed
+from perfbench.workload import Measurement, UnitClock, int_seed
 
 ENV_ID = "opamp-mna-v0"
 #: Simulations per spec group: the initial population of 20 and 4 generations.
 SEARCH_BUDGET = 100
 YIELD_SAMPLES = 512
 PARITY_LANES = 8
-#: Wall time of one spec group (search and yield) at the commit that
-#: defined the benchmark (2-core x86 host); turns ``--seconds`` into a
-#: fixed number of groups.
-SECONDS_PER_GROUP = 1.4
+#: The fewest groups a run times, however slow the host.
+MIN_GROUPS = 4
+#: Groups drawn per second of the run: more than any host runs (a group took
+#: 0.75 s or more on the 2-vCPU x86 VM that defined the benchmark).
+GROUPS_PER_SECOND = 2
 
 
 def group_count(seconds: float) -> int:
-    return max(4, round(seconds / SECONDS_PER_GROUP))
+    return max(MIN_GROUPS, math.ceil(seconds * GROUPS_PER_SECOND))
 
 
 @dataclass
@@ -60,6 +63,7 @@ class State:
     verifier: CornerSimulator
     groups: List[Group]
     check_rng: np.random.Generator
+    seconds: float
 
 
 def setup(seed: int, seconds: float, workdir: Path) -> State:
@@ -79,7 +83,7 @@ def setup(seed: int, seconds: float, workdir: Path) -> State:
     )
     # The first sweep builds the lane kernel; later sweeps reuse it.
     verifier.corner_results(env.benchmark.fresh_netlist())
-    return State(env, optimizer, verifier, groups, np.random.default_rng(check_stream))
+    return State(env, optimizer, verifier, groups, np.random.default_rng(check_stream), seconds)
 
 
 def close(state: State) -> None:
@@ -92,44 +96,55 @@ def _lane_passes(result, spec_space, target: Dict[str, float]) -> bool:
     )
 
 
-def measure(state: State, tracer) -> Measurement:
+def _run_group(state: State, group: Group, tracer, sweep_s: List[float]) -> None:
+    """Search one spec group, then sweep its best sizing; a failure marks it not ok."""
     benchmark = state.env.benchmark
+    try:
+        with tracer.span("baselines.search"):
+            group.result = state.optimizer.optimize(
+                state.env, budget=SEARCH_BUDGET, seed=group.seed, target_specs=group.target
+            )
+        netlist = benchmark.fresh_netlist()
+        group.parameters = benchmark.design_space.apply_to_netlist(
+            netlist, group.result.best_parameters
+        )
+        swept = time.perf_counter()
+        with tracer.span("corners.corner_results"):
+            group.lanes = state.verifier.corner_results(netlist)
+        sweep_s.append(time.perf_counter() - swept)
+        group.yield_frac = float(np.mean(
+            [_lane_passes(lane, benchmark.spec_space, group.target) for lane in group.lanes]
+        ))
+        group.ok = True
+    except Exception:  # noqa: BLE001 - a failed group is counted, the run goes on
+        group.ok = False
+
+
+def measure(state: State, tracer) -> Measurement:
     outcomes = Outcomes()
-    group_s: List[float] = []
     sweep_s: List[float] = []
+    sweep_scaled: List[float] = []
 
     start = time.perf_counter()
-    for group in state.groups:
-        began = time.perf_counter()
-        try:
-            with tracer.span("baselines.search"):
-                group.result = state.optimizer.optimize(
-                    state.env, budget=SEARCH_BUDGET, seed=group.seed, target_specs=group.target
-                )
-            netlist = benchmark.fresh_netlist()
-            group.parameters = benchmark.design_space.apply_to_netlist(
-                netlist, group.result.best_parameters
-            )
-            swept = time.perf_counter()
-            with tracer.span("corners.corner_results"):
-                group.lanes = state.verifier.corner_results(netlist)
-            sweep_s.append(time.perf_counter() - swept)
-            group.yield_frac = float(np.mean(
-                [_lane_passes(lane, benchmark.spec_space, group.target) for lane in group.lanes]
-            ))
-            group.ok = True
-        except Exception:  # noqa: BLE001 - a failed group is counted, the run goes on
-            group.ok = False
+    deadline = start + state.seconds
+    clock = UnitClock()
+    for index, group in enumerate(state.groups):
+        if index >= MIN_GROUPS and time.perf_counter() >= deadline:
+            del state.groups[index:]  # drawn but not run
+            break
+        with clock.unit():
+            _run_group(state, group, tracer, sweep_s)
+        if group.ok:
+            sweep_scaled.append(sweep_s[-1] * clock.factor)
         outcomes.record(group.ok)
-        group_s.append(time.perf_counter() - began)
     wall = time.perf_counter() - start
 
     done = [group for group in state.groups if group.ok]
     lanes = YIELD_SAMPLES * len(done)
     return Measurement(
         end_to_end={
-            "throughput_per_s": YIELD_SAMPLES / min(sweep_s),
-            "latency_ms": min(group_s) * 1000.0,
+            "throughput_per_s": YIELD_SAMPLES / median(sweep_scaled),
+            "latency_ms": median(clock.scaled) * 1000.0,
             "design_steps": float(np.mean([group.result.num_simulations for group in done])),
         },
         wall_s=wall,
@@ -141,9 +156,11 @@ def measure(state: State, tracer) -> Measurement:
         },
         details={
             "search.groups": len(state.groups),
-            "search.s_per_target": median(group_s),
-            "search.group_ms": [value * 1000.0 for value in group_s],
+            "search.s_per_target": median(clock.raw),
+            "search.group_ms": [value * 1000.0 for value in clock.raw],
             "yield.sweep_ms": [value * 1000.0 for value in sweep_s],
+            "search.group_scaled_ms": [value * 1000.0 for value in clock.scaled],
+            "yield.sweep_scaled_ms": [value * 1000.0 for value in sweep_scaled],
             "search.success_rate": float(np.mean([g.result.success for g in done])),
             "search.groups_per_s": len(done) / wall,
             "yield.lanes_per_s": YIELD_SAMPLES / median(sweep_s),

@@ -9,7 +9,8 @@ whose backlog grows.  Three in four requests carry a never-seen spec group;
 one in four repeats a group served during warm-up and must be answered by
 the gateway's response cache.  Short offline batches of fresh groups, all
 due at once, before every rate and after the last measure the requests per
-second the worker sustains, from the shortest interval between full batches.
+second the worker sustains, from the median interval between full batches.
+Both are scaled to the reference host speed (see ``workload.UnitClock``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from perfbench.metrics import (
     percentile,
     step_passes,
 )
-from perfbench.workload import Measurement
+from perfbench.workload import Measurement, UnitClock
 
 ENV_ID = "opamp-p2s-v0"
 #: The served model is one fixed untrained policy; ``--seed`` draws the
@@ -58,8 +59,10 @@ LIMIT_PERCENTILE = 90.0
 #: Fresh requests per rate: at least 100, so p90 has 10 samples beyond it.
 MIN_FRESH_PER_RATE = 100
 #: Full batches per offline batch; one runs before every rate and one after
-#: the last, so the capacity samples spread over the whole run.
+#: the last, so the capacity samples spread over the whole run, and more after
+#: the last until there are at least ``MIN_BURSTS``.
 BURST_BATCHES = 4
+MIN_BURSTS = 8
 PARITY_SAMPLES = 8
 RESULT_TIMEOUT_S = 60.0
 
@@ -200,6 +203,27 @@ def _burst(state: State, sent_all: List[_Sent]) -> List[float]:
     return batch_intervals(min(step.due), step.done, BATCH_SIZE)
 
 
+def _scaled_latencies_ms(
+    step: RateStep, sent: List[_Sent], factor: float, delay_ms: float
+) -> List[float]:
+    """Latencies of a step's measured requests with the part spent on CPU work
+    scaled by ``factor``: the request's batch run, and any wait in the queue
+    beyond the gateway's batching delay ``delay_ms`` (the worker finishing an
+    earlier batch), both from the response's timing.  The rest is waiting and
+    is not scaled.  Failures are inf."""
+    latencies = []
+    for due, done, counted, good, item in zip(step.due, step.done, step.measured, step.ok, sent):
+        if not counted:
+            continue
+        if not good:
+            latencies.append(math.inf)
+            continue
+        timing = item.response.timing
+        busy_ms = timing["total_ms"] - timing["queue_ms"] + max(0.0, timing["queue_ms"] - delay_ms)
+        latencies.append((done - due) * 1000.0 - (1.0 - factor) * busy_ms)
+    return latencies
+
+
 def measure(state: State, tracer) -> Measurement:
     gateway, service = state.gateway, state.service
     stats0 = gateway.stats.snapshot()
@@ -213,22 +237,38 @@ def measure(state: State, tracer) -> Measurement:
     ladder: List[_Sent] = []
 
     start = time.perf_counter()
+    # Offline batches are short, so their intervals are scaled by the median
+    # of the run's factors; the light rate's latencies by that step's own.
+    clock = UnitClock()
     intervals: List[float] = []
+
+    def burst() -> None:
+        with clock.unit():
+            intervals.extend(_burst(state, sent_all))
+
     for rate in RATES:
-        intervals += _burst(state, sent_all)
+        burst()
         sent, offsets = _schedule(state, rate)
-        step = _send(state, rate, sent, offsets)
+        with clock.unit():
+            step = _send(state, rate, sent, offsets)
+        if not steps:
+            light_sent, light_factor = sent, clock.factor
         steps.append(step)
         ladder.extend(sent)
         verdicts.append((rate, step_passes(step, LIMIT_MS, BATCH_SIZE, LIMIT_PERCENTILE)))
         if not verdicts[-1][1]:
             break
     sent_all.extend(ladder)
-    intervals += _burst(state, sent_all)
+    while len(intervals) < MIN_BURSTS * BURST_BATCHES:
+        burst()
     wall = time.perf_counter() - start
     for item in sent_all:
         outcomes.record(item.response is not None and item.response.ok)
-    burst_rps = BATCH_SIZE / min(intervals)
+    factor = median(clock.factors)
+    burst_rps = BATCH_SIZE / (median(intervals) * factor)
+    light_ms = _scaled_latencies_ms(
+        steps[0], light_sent, light_factor, gateway.max_batch_delay_ms
+    )
     stats1 = gateway.stats.snapshot()
 
     details: Dict[str, object] = {}
@@ -242,12 +282,12 @@ def measure(state: State, tracer) -> Measurement:
     details["serve.rates_run"] = [rate for rate, _ in verdicts]
     details["serve.fresh_per_rate"] = state.fresh_per_rate
     details["serve.burst_requests"] = len(intervals) * BATCH_SIZE
-    details["serve.burst_rps"] = burst_rps
+    details["serve.burst_rps"] = BATCH_SIZE / median(intervals)
     details["serve.batch_interval_ms"] = [value * 1000.0 for value in intervals]
+    details["serve.scale_factors"] = clock.factors
 
     fresh = [item.response for item in sent_all if item.repeat_of < 0 and item.response]
     ladder_fresh = [item.response for item in ladder if item.repeat_of < 0 and item.response]
-    light = steps[0]
     passing = [step for step, (_, good) in zip(steps, verdicts) if good] or steps[:1]
     batches = stats1.batches - stats0.batches
     coalesced = stats1.mean_coalesce * stats1.batches - stats0.mean_coalesce * stats0.batches
@@ -259,7 +299,7 @@ def measure(state: State, tracer) -> Measurement:
     return Measurement(
         end_to_end={
             "throughput_per_s": burst_rps,
-            "latency_ms": percentile(light.latencies_ms(), 50.0),
+            "latency_ms": percentile(light_ms, 50.0),
             "design_steps": float(np.mean([response.steps for response in fresh])),
         },
         wall_s=wall,

@@ -1,10 +1,13 @@
 """train-opamp: the paper's Algorithm 1 at a fixed episode budget, then deployment.
 
 GCN-FC is trained with PPO on 8 vectorized ``opamp-p2s-v0`` environments,
-8 episodes per update, and then deployed greedily on held-out spec groups
-drawn from a stream independent of the training seed.  The PPO update is
-almost all of the wall time, so this workload moves with the update path
-and hardly with the simulator.
+8 episodes per update; after a fixed number of updates it is deployed
+greedily on held-out spec groups drawn from a stream independent of the
+training seed, and training then goes on until ``--seconds`` are used, so
+the run times as many updates as the host allows while the deployment
+figures depend on the seed alone.  The PPO update is almost all of the wall
+time, so this workload moves with the update path and hardly with the
+simulator.
 """
 
 from __future__ import annotations
@@ -22,26 +25,21 @@ from repro.agents import PPOTrainer, evaluate_deployment
 from repro.experiments.configs import rl_hyperparameters
 
 from perfbench.metrics import Outcomes, median
-from perfbench.workload import Measurement, int_seed
+from perfbench.workload import Measurement, UnitClock, int_seed
 
 ENV_ID = "opamp-p2s-v0"
 NUM_ENVS = 8
 EPISODES_PER_UPDATE = 8
 EVAL_TARGETS = 64
-#: Wall time of one 8-episode update at the commit that defined the
-#: benchmark (2-core x86 host).  It turns ``--seconds`` into a fixed episode
-#: budget, so a faster update finishes the same training sooner.
-SECONDS_PER_UPDATE = 2.0
-
-
-def episode_budget(seconds: float) -> int:
-    return EPISODES_PER_UPDATE * max(2, round(seconds / SECONDS_PER_UPDATE))
+#: Updates trained before deployment is evaluated (96 episodes); also the
+#: fewest updates a run times, however slow the host.
+DEPLOY_UPDATES = 12
 
 
 @dataclass
 class State:
     trainer: PPOTrainer
-    budget: int
+    seconds: float
     eval_seed: int
 
 
@@ -57,7 +55,7 @@ def setup(seed: int, seconds: float, workdir: Path) -> State:
     trainer = PPOTrainer(
         env, policy, config=hyper["ppo"], seed=int_seed(trainer_stream), env_id=ENV_ID
     )
-    return State(trainer, episode_budget(seconds), int_seed(eval_stream))
+    return State(trainer, seconds, int_seed(eval_stream))
 
 
 def close(state: State) -> None:
@@ -69,37 +67,38 @@ def measure(state: State, tracer) -> Measurement:
     cache = trainer.vector_env.cache.stats
     hits0, lookups0 = cache.hits, cache.lookups
     outcomes = Outcomes()
-    iteration_s: List[float] = []
-
+    evaluation = None
     start = time.perf_counter()
-    for update in range(state.budget // EPISODES_PER_UPDATE):
-        began = time.perf_counter()
-        trainer.train((update + 1) * EPISODES_PER_UPDATE, episodes_per_update=EPISODES_PER_UPDATE)
-        iteration_s.append(time.perf_counter() - began)
+    deadline = start + state.seconds
+    clock = UnitClock()
+    while evaluation is None or time.perf_counter() < deadline:
+        updates = len(clock.raw) + 1
+        with clock.unit():
+            trainer.train(updates * EPISODES_PER_UPDATE, episodes_per_update=EPISODES_PER_UPDATE)
         record = trainer.history.records[-1]
         outcomes.record(
             all(math.isfinite(v) for v in (record.policy_loss, record.value_loss, record.entropy))
         )
-    train_end = time.perf_counter()
-    with tracer.span("agents.deployment.eval"):
-        evaluation = evaluate_deployment(
-            trainer.env,
-            trainer.policy,
-            num_targets=EVAL_TARGETS,
-            seed=state.eval_seed,
-            batch_size=NUM_ENVS,
-        )
+        if updates == DEPLOY_UPDATES:
+            with tracer.span("agents.deployment.eval"):
+                evaluation = evaluate_deployment(
+                    trainer.env,
+                    trainer.policy,
+                    num_targets=EVAL_TARGETS,
+                    seed=state.eval_seed,
+                    batch_size=NUM_ENVS,
+                )
+            for _ in evaluation.results:
+                outcomes.record(True)
     wall = time.perf_counter() - start
-    for _ in evaluation.results:
-        outcomes.record(True)
 
     lookups = cache.lookups - lookups0
     records = trainer.history.records
     episodes = records[-1].episodes_seen
     return Measurement(
         end_to_end={
-            "throughput_per_s": EPISODES_PER_UPDATE / min(iteration_s),
-            "latency_ms": min(iteration_s) * 1000.0,
+            "throughput_per_s": EPISODES_PER_UPDATE / median(clock.scaled),
+            "latency_ms": median(clock.scaled) * 1000.0,
             "design_steps": evaluation.mean_steps,
         },
         wall_s=wall,
@@ -114,9 +113,10 @@ def measure(state: State, tracer) -> Measurement:
         details={
             "train.episodes": episodes,
             "train.episodes_per_s": episodes / wall,
-            "train.update_p50_ms": median(iteration_s) * 1000.0,
-            "train.update_ms": [value * 1000.0 for value in iteration_s],
-            "train.train_s": train_end - start,
+            "train.update_p50_ms": median(clock.raw) * 1000.0,
+            "train.update_ms": [value * 1000.0 for value in clock.raw],
+            "train.update_scaled_ms": [value * 1000.0 for value in clock.scaled],
+            "train.train_s": sum(clock.raw),
             "train.deploy_success_rate": evaluation.accuracy,
             "train.deploy_mean_steps": evaluation.mean_steps,
             "train.eval_targets": evaluation.num_targets,
@@ -129,7 +129,8 @@ def check(state: State, measurement: Measurement) -> List[str]:
     records = state.trainer.history.records
     problems = []
     seen = [record.episodes_seen for record in records]
-    expected = list(range(EPISODES_PER_UPDATE, state.budget + 1, EPISODES_PER_UPDATE))
+    updates = len(measurement.details["train.update_ms"])
+    expected = [EPISODES_PER_UPDATE * (update + 1) for update in range(updates)]
     if seen != expected:
         problems.append(f"episode counts {seen} after each update, expected {expected}")
     for record in records:
