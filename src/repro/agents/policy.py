@@ -281,9 +281,9 @@ class ActorCriticPolicy(Module):
         All three outputs are plain floats/arrays, so by default the forward
         passes run under :func:`repro.nn.inference_mode` (no graph recording;
         identical numbers).  Pass ``inference=False`` to force the
-        grad-recording path — PPO re-evaluates actions during its update via
-        :meth:`evaluate_actions`, so this is only useful for benchmarking the
-        two paths against each other.
+        grad-recording path — PPO re-evaluates whole minibatches during its
+        update via :meth:`evaluate_actions_batch`, so this is only useful for
+        benchmarking the two paths against each other.
         """
         if inference:
             with inference_mode():
@@ -300,7 +300,7 @@ class ActorCriticPolicy(Module):
     def evaluate_actions(
         self, observation: Observation, action: np.ndarray
     ) -> Tuple[Tensor, Tensor, Tensor]:
-        """Differentiable ``(log_prob, value, entropy)`` for PPO updates."""
+        """Differentiable ``(log_prob, value, entropy)`` of one transition."""
         distribution = self.action_distribution(observation)
         log_prob = distribution.log_prob(action)
         entropy = distribution.entropy()
@@ -322,6 +322,17 @@ class ActorCriticPolicy(Module):
         """Batched state-value estimates, shape ``(B,)``."""
         features = self.critic_trunk.forward_batch(batch)
         return self.critic_head(features).reshape(len(batch))
+
+    def evaluate_actions_batch(
+        self, batch: BatchedObservation, actions: np.ndarray
+    ) -> Tuple[Tensor, Tensor, Tensor]:
+        """Batched :meth:`evaluate_actions` for ``(B, M)`` actions (the PPO update).
+
+        Returns ``(log_probs, values, entropies)``, each ``(B,)``, in one
+        autograd graph: a minibatch costs one forward and one backward.
+        """
+        distribution = self.action_distribution_batch(batch)
+        return distribution.log_prob(actions), self.value_batch(batch), distribution.entropy()
 
     def act_batch(
         self,

@@ -7,7 +7,9 @@ The trainer alternates between
 2. computing rewards-to-go and GAE(λ) advantage estimates, and
 3. several epochs of minibatch updates maximizing the clipped surrogate
    objective (Eq. 3) with Adam, plus a value-regression loss and an entropy
-   bonus.
+   bonus.  Each minibatch is one batched forward
+   (:meth:`~repro.agents.policy.ActorCriticPolicy.evaluate_actions_batch`),
+   ``(B,)`` per-transition loss tensors and a single backward pass.
 
 Training progress is recorded as the three curves the paper plots in Fig. 3:
 mean episode reward, mean episode length, and (optionally, every
@@ -28,6 +30,7 @@ from repro.agents.deployment import evaluate_deployment
 from repro.agents.policy import ActorCriticPolicy
 from repro.agents.rollout import RolloutBuffer
 from repro.env.circuit_env import CircuitDesignEnv
+from repro.env.spaces import BatchedObservation
 from repro.nn.functional import explained_variance
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import minimum
@@ -271,55 +274,41 @@ class PPOTrainer:
         buffer.compute_returns_and_advantages(normalize=config.normalize_advantages)
         assert buffer.advantages is not None and buffer.returns is not None
 
-        policy_losses: List[float] = []
-        value_losses: List[float] = []
-        entropies: List[float] = []
+        transitions = buffer.transitions
+        actions = np.stack([t.action for t in transitions])
+        old_log_probs = np.array([t.log_prob for t in transitions])
+
+        policy_losses: List[np.ndarray] = []
+        value_losses: List[np.ndarray] = []
+        entropies: List[np.ndarray] = []
         value_predictions = np.zeros(len(buffer))
 
         for _ in range(config.update_epochs):
             for indices in buffer.minibatch_indices(self.rng, config.minibatch_size):
-                loss_terms = []
-                for index in indices:
-                    transition = buffer.transitions[index]
-                    advantage = float(buffer.advantages[index])
-                    target_return = float(buffer.returns[index])
-                    log_prob, value, entropy = self.policy.evaluate_actions(
-                        transition.observation, transition.action
-                    )
-                    value_predictions[index] = float(value.item())
-                    ratio = (log_prob - transition.log_prob).exp()
-                    unclipped = ratio * advantage
-                    clipped = (
-                        ratio.clip(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
-                        * advantage
-                    )
-                    policy_loss = -minimum(unclipped, clipped)
-                    value_error = value - target_return
-                    value_loss = value_error * value_error
-                    loss = (
-                        policy_loss
-                        + config.value_coef * value_loss
-                        - config.entropy_coef * entropy
-                    )
-                    loss_terms.append(loss)
-                    policy_losses.append(float(policy_loss.item()))
-                    value_losses.append(float(value_loss.item()))
-                    entropies.append(float(entropy.item()))
-                if not loss_terms:
-                    continue
-                total = loss_terms[0]
-                for term in loss_terms[1:]:
-                    total = total + term
-                total = total * (1.0 / len(loss_terms))
+                batch = BatchedObservation.stack([transitions[i].observation for i in indices])
+                log_prob, value, entropy = self.policy.evaluate_actions_batch(
+                    batch, actions[indices]
+                )
+                value_predictions[indices] = value.numpy()
+                advantages = buffer.advantages[indices]
+                ratio = (log_prob - old_log_probs[indices]).exp()
+                clipped = ratio.clip(1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
+                policy_loss = -minimum(ratio * advantages, clipped * advantages)
+                value_error = value - buffer.returns[indices]
+                value_loss = value_error * value_error
+                loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy
+                policy_losses.append(policy_loss.numpy())
+                value_losses.append(value_loss.numpy())
+                entropies.append(entropy.numpy())
                 self.optimizer.zero_grad()
-                total.backward()
+                (loss.sum() * (1.0 / len(indices))).backward()
                 clip_grad_norm(self.policy.parameters(), config.max_grad_norm)
                 self.optimizer.step()
 
         return {
-            "policy_loss": float(np.mean(policy_losses)),
-            "value_loss": float(np.mean(value_losses)),
-            "entropy": float(np.mean(entropies)),
+            "policy_loss": float(np.mean(np.concatenate(policy_losses))),
+            "value_loss": float(np.mean(np.concatenate(value_losses))),
+            "entropy": float(np.mean(np.concatenate(entropies))),
             "explained_variance": explained_variance(value_predictions, buffer.returns),
         }
 

@@ -6,7 +6,9 @@ each time step.  The policy head therefore outputs an ``M x 3`` matrix of
 logits (``M`` = number of tunable parameters), interpreted row-wise as
 independent categorical distributions.  :class:`MultiCategorical` wraps that
 matrix and provides sampling, log-probabilities and entropy — all the
-quantities PPO needs (Eq. 3).
+quantities PPO needs (Eq. 3).  Entropies take ``p`` as the ``exp`` of the
+graph's log-probabilities, never a detached copy, so the entropy bonus has a
+gradient.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ class Categorical:
         return self._log_probs[int(action)]
 
     def entropy(self) -> Tensor:
-        probs = Tensor(self.probs)
-        return -(probs * self._log_probs).sum()
+        return -(self._log_probs.exp() * self._log_probs).sum()
 
     def mode(self) -> int:
         return int(np.argmax(self.probs))
@@ -111,8 +112,7 @@ class MultiCategorical:
 
     def entropy(self) -> Tensor:
         """Total entropy (sum of per-parameter entropies)."""
-        probs = Tensor(self.probs)
-        return -(probs * self._log_probs).sum()
+        return -(self._log_probs.exp() * self._log_probs).sum()
 
     def kl_divergence(self, other: "MultiCategorical") -> float:
         """KL(self || other), summed over parameters (detached diagnostic)."""
@@ -183,5 +183,4 @@ class BatchedMultiCategorical:
 
     def entropy(self) -> Tensor:
         """Per-environment total entropies, shape ``(B,)``."""
-        probs = Tensor(self.probs)
-        return -(probs * self._log_probs).sum(axis=(-2, -1))
+        return -(self._log_probs.exp() * self._log_probs).sum(axis=(-2, -1))

@@ -557,18 +557,22 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=np.float64)
 
+        # Iterative post-order DFS (parents before children, in the order a
+        # recursive walk would produce).  A recursive closure would reference
+        # itself and keep the whole graph alive until the cyclic GC runs.
         ordering: list[Tensor] = []
-        visited: set[int] = set()
-
-        def topo(node: "Tensor") -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                topo(parent)
-            ordering.append(node)
-
-        topo(self)
+        visited: set[int] = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in visited:
+                    visited.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                ordering.append(node)
 
         self._accumulate(grad)
         for node in reversed(ordering):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.distributions import Categorical, MultiCategorical
+from repro.nn.distributions import BatchedMultiCategorical, Categorical, MultiCategorical
 from repro.nn.tensor import Tensor
 
 
@@ -92,6 +92,41 @@ class TestMultiCategorical:
     def test_rejects_1d_logits(self):
         with pytest.raises(ValueError):
             MultiCategorical(Tensor(np.zeros(3)))
+
+
+class TestEntropyGradient:
+    """The entropy bonus must reach the logits: autograd matches finite differences."""
+
+    @staticmethod
+    def _check(distribution_class, logits, weights):
+        def objective(values: np.ndarray) -> float:
+            return float((distribution_class(Tensor(values)).entropy() * weights).sum().item())
+
+        tensor = Tensor(logits, requires_grad=True)
+        (distribution_class(tensor).entropy() * weights).sum().backward()
+        step = 1e-6
+        numeric = np.zeros_like(logits)
+        for index in np.ndindex(logits.shape):
+            up, down = logits.copy(), logits.copy()
+            up[index] += step
+            down[index] -= step
+            numeric[index] = (objective(up) - objective(down)) / (2.0 * step)
+        assert np.linalg.norm(numeric) > 0.1
+        np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_categorical(self):
+        logits = np.random.default_rng(0).normal(size=4)
+        self._check(Categorical, logits, 1.0)
+
+    def test_multi_categorical(self):
+        logits = np.random.default_rng(1).normal(size=(4, 3))
+        self._check(MultiCategorical, logits, 1.0)
+
+    def test_batched_multi_categorical(self):
+        rng = np.random.default_rng(2)
+        logits = rng.normal(size=(3, 4, 3))
+        # Distinct per-row weights so each batch row's gradient is checked.
+        self._check(BatchedMultiCategorical, logits, rng.normal(size=3))
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,26 @@ class TestGraphMechanics:
         assert x.grad is not None
         x.zero_grad()
         assert x.grad is None
+
+    def test_deep_graph_backward(self):
+        # Deeper than the interpreter's recursion limit.
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        y = x
+        for _ in range(5000):
+            y = y + x
+        y.backward()
+        np.testing.assert_allclose(x.grad, [5001.0])
+
+    def test_backward_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            x = Tensor(np.ones((3, 3)), requires_grad=True)
+            ((x @ x).tanh().sum() * 2.0).backward()
+            del x
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_item_and_shape_helpers(self):
         x = Tensor(np.array([[3.0]]))

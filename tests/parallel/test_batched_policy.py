@@ -52,6 +52,20 @@ class TestBatchedForward:
                 values[i], policy.value(observations[i]).item(), rtol=1e-12, atol=1e-14
             )
 
+    @pytest.mark.parametrize("policy_id", POLICY_IDS)
+    def test_evaluate_actions_batch_matches_per_env(self, batch, policy_id):
+        venv, observations = batch
+        policy = repro.make_policy(policy_id, venv.envs[0], np.random.default_rng(11))
+        actions = policy.act_batch(observations, np.random.default_rng(5))[0]
+        batched = policy.evaluate_actions_batch(observations, actions)
+        assert all(out.shape == (len(observations),) for out in batched)
+        for i in range(len(observations)):
+            single = policy.evaluate_actions(observations[i], actions[i])
+            for row, reference in zip(batched, single):
+                np.testing.assert_allclose(
+                    row.numpy()[i], reference.item(), rtol=1e-12, atol=1e-14
+                )
+
     def test_deterministic_actions_match_per_env(self, batch):
         venv, observations = batch
         policy = repro.make_policy("gcn_fc", venv.envs[0], np.random.default_rng(11))
