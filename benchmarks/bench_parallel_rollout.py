@@ -9,14 +9,16 @@ in ``tests/parallel``), asserting the ≥2× speedup the subsystem is built
 for, plus the cache hit-rate of a GA population evaluation.
 
 The compiled-execution entries measure ``repro.compile`` on top of that:
-the same vector env stepped with ``compile=True`` versus ``compile=False``
+the same vector env stepped with ``compile=True`` and ``compile=False``
 (identical physics per ``tests/compile``), without a simulation cache so the
-measurement sits in the simulation-bound regime the batched MNA solve was
-built for.  The MNA topologies carry the hard ≥4× floor (CI re-asserts it
-from the recorded ``compiled_steps_per_s`` / ``interpreted_steps_per_s``
-via ``compare_bench.py --floor``); the analytic topologies are dominated by
-per-env Python bookkeeping, so their ratio is recorded under separate
-``*_analytic`` keys and gated only by a modest sanity floor here.
+measurement sits in the simulation-bound regime.  On the MNA topologies each
+path is its own benchmark entry, so the baseline gate in ``compare_bench.py``
+(``--threshold``) tracks each path's own steps/s; the interpreted entry
+also records the compiled/interpreted ratio (``compiled_speedup``) for the
+trend, ungated, because both paths now share the one stacked MNA engine.
+The analytic topologies are dominated by per-env Python bookkeeping, so
+their ratio is recorded under separate ``*_analytic`` keys and gated only
+by a modest sanity floor here.
 """
 
 from __future__ import annotations
@@ -104,60 +106,66 @@ def test_vectorized_rollout_speedup(benchmark):
     )
 
 
-def _compiled_vs_interpreted(env_id: str, steps: int = 25, seed: int = 0) -> tuple:
-    """Steps/s of the same uncached vector env, compiled vs interpreted.
+def _uncached_env(env_id: str, compiled: bool, steps: int = 25, seed: int = 0) -> tuple:
+    """An uncached vector env, warmed by one step, and its action stream.
 
     ``cache_size=None`` keeps every step in the simulator (the regime the
-    batched kernels accelerate); both sides consume identical action
-    streams, and the compiled side must never have fallen back.
+    batched kernels accelerate); both paths get identical action streams.
     """
-    throughput = {}
-    for compiled in (True, False):
-        template = repro.make_env(env_id, seed=None, max_steps=MAX_STEPS)
-        env = VectorCircuitEnv.from_env(
-            template, num_envs=NUM_ENVS, seed=seed, cache_size=None, compile=compiled
-        )
-        env.reset()
-        rng = np.random.default_rng(seed + 1)
-        actions = [
-            rng.integers(0, 3, size=(NUM_ENVS, env.num_parameters))
-            for _ in range(steps)
-        ]
-        env.step(actions[0])  # plan build + workspace warm-up outside the clock
-        start = time.perf_counter()
-        for action in actions:
-            env.step(action)
-        elapsed = time.perf_counter() - start
-        throughput[compiled] = NUM_ENVS * steps / elapsed
-        if compiled:
-            plan = env.compiled_plan
-            assert plan is not None and plan.fallback_steps == 0
-    return throughput[True], throughput[False]
-
-
-@pytest.mark.parametrize("env_id", ["opamp-mna-v0", "current_mirror_ota-mna-v0"])
-def test_compiled_mna_rollout_speedup(benchmark, env_id):
-    """Batched stacked-MNA episode plans: ≥4× steps/s vs interpreted."""
-    compiled, interpreted = benchmark.pedantic(
-        lambda: _compiled_vs_interpreted(env_id), rounds=1, iterations=1
+    template = repro.make_env(env_id, seed=None, max_steps=MAX_STEPS)
+    env = VectorCircuitEnv.from_env(
+        template, num_envs=NUM_ENVS, seed=seed, cache_size=None, compile=compiled
     )
-    speedup = compiled / interpreted
+    env.reset()
+    rng = np.random.default_rng(seed + 1)
+    actions = [rng.integers(0, 3, size=(NUM_ENVS, env.num_parameters)) for _ in range(steps)]
+    env.step(actions[0])  # plan build + workspace warm-up outside the clock
+    assert (env.compiled_plan is not None) == compiled
+    return env, actions
+
+
+def _steps_per_s(env: VectorCircuitEnv, actions: list) -> float:
+    """Step ``env`` through ``actions``; the compiled path must not fall back."""
+    start = time.perf_counter()
+    for action in actions:
+        env.step(action)
+    elapsed = time.perf_counter() - start
+    if env.compiled_plan is not None:
+        assert env.compiled_plan.fallback_steps == 0
+    return NUM_ENVS * len(actions) / elapsed
+
+
+def _compiled_vs_interpreted(env_id: str) -> tuple:
+    return tuple(_steps_per_s(*_uncached_env(env_id, compiled)) for compiled in (True, False))
+
+
+#: Compiled-path steps/s per MNA env id, read by the interpreted entry.
+_COMPILED_MNA_STEPS_PER_S: dict = {}
+
+
+@pytest.mark.parametrize(
+    "env_id,path",
+    [
+        (env_id, path)
+        for env_id in ("opamp-mna-v0", "current_mirror_ota-mna-v0")
+        for path in ("compiled", "interpreted")
+    ],
+)
+def test_mna_rollout_throughput(benchmark, env_id, path):
+    """Uncached stacked-MNA rollout steps/s, one entry per execution path."""
+    compiled = path == "compiled"
+    steps_per_s = benchmark.pedantic(
+        _steps_per_s, setup=lambda: (_uncached_env(env_id, compiled), {}), rounds=1
+    )
     benchmark.extra_info.update(
-        {
-            "num_envs": NUM_ENVS,
-            "env_id": env_id,
-            "compiled_steps_per_s": round(compiled, 1),
-            "interpreted_steps_per_s": round(interpreted, 1),
-            "compiled_speedup": round(speedup, 2),
-        }
+        {"num_envs": NUM_ENVS, "env_id": env_id, f"{path}_steps_per_s": round(steps_per_s, 1)}
     )
-    # Measured 16-23x on dedicated hardware; 4x is the subsystem's
-    # acceptance floor (also re-asserted by CI's compare_bench --floor on
-    # the recorded extra_info, so the gate survives baseline regeneration).
-    assert speedup >= 4.0, (
-        f"compiled {env_id} rollout regressed: measured {speedup:.2f}x vs "
-        "interpreted (floor 4x, expect >= 16x on unloaded hardware)"
-    )
+    if compiled:
+        _COMPILED_MNA_STEPS_PER_S[env_id] = steps_per_s
+    elif env_id in _COMPILED_MNA_STEPS_PER_S:
+        benchmark.extra_info["compiled_speedup"] = round(
+            _COMPILED_MNA_STEPS_PER_S[env_id] / steps_per_s, 2
+        )
 
 
 @pytest.mark.parametrize("env_id", ["opamp-p2s-v0", "current_mirror_ota-p2s-v0"])
@@ -171,8 +179,6 @@ def test_compiled_analytic_rollout_speedup(benchmark, env_id):
         {
             "num_envs": NUM_ENVS,
             "env_id": env_id,
-            # Distinct key names keep these entries out of the CI --floor
-            # gate, which asserts the 4x contract on the MNA entries only.
             "compiled_steps_per_s_analytic": round(compiled, 1),
             "interpreted_steps_per_s_analytic": round(interpreted, 1),
             "compiled_speedup": round(speedup, 2),

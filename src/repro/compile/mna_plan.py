@@ -1,33 +1,32 @@
 """Batched MNA plans: stacked stamping and solving of same-topology circuits.
 
-The interpreted :class:`~repro.simulation.mna.MnaCircuit` stamps and solves
-one ``(n, n)`` system per circuit per frequency (``np.linalg.solve`` inside
-the AC loop).  A :class:`BatchedMNAPlan` lifts this: the sparsity pattern,
-node ordering and *stamp order* are computed once at plan time from the
-circuit structure, and each evaluation restamps only the parameter-dependent
-entries of one stacked ``(K, F, n, n)`` tensor (K circuits × F frequencies)
-that is solved in a single stacked — and chunked — ``np.linalg.solve``.
+This is the repository's one MNA engine.  A :class:`BatchedMNAPlan`
+computes the sparsity pattern, node ordering and *stamp order* once at plan
+time from the circuit structure; each evaluation restamps only the
+parameter-dependent entries of one stacked ``(K, F, n, n)`` tensor
+(K circuits × F frequencies) and solves it in a single stacked — and
+chunked — ``np.linalg.solve``.  ``MnaCircuit.dc_operating_point`` and
+``MnaCircuit.ac_analysis`` are its ``K = 1`` case.
 
-Faithfulness contract
----------------------
-Results are bitwise identical to calling ``ac_analysis`` /
-``dc_operating_point`` per circuit:
+Stacking contract
+-----------------
+Lane ``k`` of a ``K``-stack is bitwise identical to the ``K = 1`` plan of
+circuit ``k`` alone, whatever ``K`` and the chunk size:
 
-* stamps are replayed as an *ordered* record list mirroring the exact
-  element order of the interpreted loops (resistors → capacitors → VCCS →
-  linearized MOSFETs → sources → branch rows), so per-entry floating-point
-  accumulation order is preserved — a const-prefix + frequency-add
-  decomposition would reorder additions on shared entries and break parity;
+* stamps are replayed as an *ordered* record list (resistors → capacitors
+  → VCCS → linearized MOSFETs → sources → branch rows), so every lane
+  accumulates each matrix entry in the same order — a const-prefix +
+  frequency-add decomposition would reorder additions on shared entries;
 * frequency-dependent terms are computed as ``(1j * omega) * value``
-  elementwise, matching the scalar association;
+  elementwise, the same association in every lane;
 * a stacked ``np.linalg.solve`` over ``(N, n, n)`` is bitwise identical to
   the per-slice solves (LAPACK processes each system independently), and
   chunking the stack does not change any slice;
 * the Newton loop iterates only the not-yet-converged slice; circuits are
   independent, so freezing converged ones is exact.
 
-Singular systems fall back to the interpreted per-circuit path so the exact
-:class:`~repro.simulation.mna.ConvergenceError` is raised.
+A singular system raises :class:`~repro.simulation.mna.ConvergenceError`
+naming the first offending circuit (and, for AC, frequency) in stack order.
 
 The solve is chunked along the stacked axis with a chunk size chosen once at
 plan-build time (smaller on single-core runners, e.g. the CI VM) so peak
@@ -260,7 +259,7 @@ class BatchedMNAPlan:
             records.append(_MatrixRecord(("unit", 0), row, j, -1.0, False))
 
     def _build_records(self, template: MnaCircuit) -> None:
-        # --- AC records, in ac_analysis stamp order -------------------
+        # --- AC records ------------------------------------------------
         ac_m = self._ac_matrix_records
         ac_r = self._ac_rhs_records
         for idx, r in enumerate(template.resistors):
@@ -287,12 +286,10 @@ class BatchedMNAPlan:
             self._emit_branch_rows(ac_m, row, e.n1, e.n2)
             ac_m.append(_MatrixRecord(("ind", branch), row, row, -1.0, True))
 
-        # --- DC records, in dc_operating_point stamp order ------------
-        # (MOSFET companion stamps are per-iteration and land between the
-        # source and branch records; their entries are restamped live in
-        # the Newton loop, after this constant base — which preserves the
-        # per-entry accumulation order because resistor/VCCS stamps precede
-        # MOSFET stamps in the interpreted loop too.)
+        # --- DC records ------------------------------------------------
+        # (MOSFET companion stamps are per-iteration; the Newton loop adds
+        # them live on top of this constant base.  They touch only node
+        # entries, after the resistor/VCCS/current-source stamps there.)
         dc_m = self._dc_matrix_records
         dc_r = self._dc_rhs_records
         for idx, r in enumerate(template.resistors):
@@ -347,7 +344,11 @@ class BatchedMNAPlan:
         frequencies: Sequence[float],
         operating_points: Optional[Sequence[DcSolution]] = None,
     ) -> List[AcSolution]:
-        """Stacked twin of ``[c.ac_analysis(frequencies) for c in circuits]``."""
+        """Small-signal sweep of every circuit; lane ``k`` is circuit ``k``'s.
+
+        MOSFETs are linearized around ``operating_points`` (one per circuit),
+        computed with :meth:`dc_operating_points` defaults when not given.
+        """
         frequencies = np.asarray(list(frequencies), dtype=np.float64)
         if frequencies.ndim != 1 or frequencies.size == 0:
             raise ValueError("frequencies must be a non-empty 1-D sequence")
@@ -449,8 +450,14 @@ class BatchedMNAPlan:
         tolerance: float = 1e-9,
         damping: float = 1.0,
         max_voltage_step: float = 0.3,
+        initial_guesses: Optional[Sequence[Optional[Dict[str, float]]]] = None,
     ) -> List[DcSolution]:
-        """Stacked twin of ``[c.dc_operating_point() for c in circuits]``."""
+        """Damped Newton DC operating point of every circuit.
+
+        ``initial_guesses[k]`` (a node-name → volts map, or ``None``) seeds
+        circuit ``k``'s node voltages; unknown names are ignored and every
+        other unknown starts at zero.
+        """
         K, size, num_nodes = self.num_circuits, self.size, self.num_nodes
         if self._has_mosfets and self._circuits is None:
             raise UntraceableError("MOSFET DC analysis requires a from_circuits plan")
@@ -466,6 +473,10 @@ class BatchedMNAPlan:
         self._stamp_rhs(self._dc_rhs_records, base_rhs)
 
         solution = np.zeros((K, size))
+        for k, guess in enumerate(initial_guesses or ()):
+            for net, value in (guess or {}).items():
+                if net in self._index:
+                    solution[k, self._index[net]] = value
         iterations = np.zeros(K, dtype=np.int64)
         active = np.arange(K)
         for iteration in range(1, max_iterations + 1):
@@ -547,7 +558,7 @@ class BatchedMNAPlan:
         matrix: np.ndarray,
         rhs: np.ndarray,
     ) -> None:
-        """Per-circuit nonlinear companion stamps (exact interpreted twin)."""
+        """Per-circuit nonlinear companion stamps around ``solution_row``."""
 
         def voltage_of(idx: Optional[int]) -> float:
             return 0.0 if idx is None else float(solution_row[idx])
@@ -560,8 +571,9 @@ class BatchedMNAPlan:
             op = m.model.operating_point(vgs, vds)
             current = m.model.drain_current(vgs, vds)
             gm, gds = op.gm, max(op.gds, 1e-12)
-            sign = MnaCircuit._polarity_sign(m)
-            i_eq = current - gm * vgs * sign - gds * vds
+            # Companion current source: i_eq = I_D - gm*vgs - gds*vds
+            # (signed drain->source current).
+            i_eq = current - gm * vgs - gds * vds
             # VCCS stamp (drain/source controlled by gate/source).
             for out_node, out_sign in ((d_idx, 1.0), (s_idx, -1.0)):
                 if out_node is None:
@@ -569,7 +581,7 @@ class BatchedMNAPlan:
                 for in_node, in_sign in ((g_idx, 1.0), (s_idx, -1.0)):
                     if in_node is None:
                         continue
-                    matrix[out_node, in_node] += out_sign * in_sign * (gm * sign)
+                    matrix[out_node, in_node] += out_sign * in_sign * gm
             # gds conductance between drain and source.
             if d_idx is not None:
                 matrix[d_idx, d_idx] += gds

@@ -1,4 +1,9 @@
-"""BatchedMNAPlan: stacked AC/DC solves bitwise-identical to per-circuit MNA."""
+"""BatchedMNAPlan stacking invariance: lane k of a K-stack is circuit k alone.
+
+``MnaCircuit.ac_analysis`` / ``dc_operating_point`` are the plan's K = 1
+case, so each parity test here checks that stacking K circuits — and
+chunking the stacked solve — changes no bit of any lane.
+"""
 
 from __future__ import annotations
 
@@ -43,6 +48,7 @@ def _variants(build, key, values):
 
 class TestAcParity:
     def test_linear_ac_sweep_is_bitwise_per_circuit(self):
+        """Lane k of a linear K-stack equals circuit k's K = 1 sweep."""
         circuits = _variants(_two_pole_circuit, "gm", [5e-4, 1e-3, 2.5e-3, 8e-3])
         plan = BatchedMNAPlan.from_circuits(circuits)
         stacked = plan.ac_sweep(FREQUENCIES)
@@ -52,6 +58,7 @@ class TestAcParity:
                 assert solution.voltage(node).tobytes() == reference.voltage(node).tobytes()
 
     def test_mosfet_ac_sweep_is_bitwise_per_circuit(self):
+        """Linearized MOSFET lanes equal their K = 1 sweeps (DC solved per stack)."""
         circuits = _variants(_mosfet_amplifier, "width", [1e-6, 2e-6, 4e-6])
         plan = BatchedMNAPlan.from_circuits(circuits)
         stacked = plan.ac_sweep(FREQUENCIES)
@@ -60,6 +67,7 @@ class TestAcParity:
             assert solution.voltage("d").tobytes() == reference.voltage("d").tobytes()
 
     def test_chunking_is_bitwise_invariant(self):
+        """Splitting the stacked solve into chunks changes no lane."""
         circuits = _variants(_two_pole_circuit, "r2", [1e5, 2e5, 4e5])
         small = BatchedMNAPlan.from_circuits(circuits)
         small._chunk = 7  # force many partial chunks over K * F rows
@@ -100,13 +108,14 @@ class TestAcParity:
             plan.ac_sweep([10.0, 100.0])
         with pytest.raises(ConvergenceError) as interpreted:
             circuit.ac_analysis([10.0, 100.0])
-        # The stacked path reports the same circuit and frequency the
-        # interpreted per-circuit loop would have reported.
+        # The K-stack reports the same circuit and frequency as the K = 1
+        # analysis of that circuit.
         assert str(planned.value) == str(interpreted.value)
 
 
 class TestDcParity:
     def test_linear_dc_is_bitwise_per_circuit(self):
+        """Lane k of a linear K-stack equals circuit k's K = 1 operating point."""
         circuits = _variants(_two_pole_circuit, "r1", [1e4, 5e4, 9e4])
         plan = BatchedMNAPlan.from_circuits(circuits)
         for circuit, solution in zip(circuits, plan.dc_operating_points()):
@@ -116,7 +125,7 @@ class TestDcParity:
             assert solution.iterations == reference.iterations
 
     def test_newton_dc_is_bitwise_per_circuit(self):
-        """MOSFET circuits converge per-slice exactly like the scalar Newton."""
+        """Each Newton lane converges exactly as circuit k alone does."""
         circuits = _variants(_mosfet_amplifier, "vg", [0.5, 0.7, 0.9, 1.05])
         plan = BatchedMNAPlan.from_circuits(circuits)
         for circuit, solution in zip(circuits, plan.dc_operating_points()):
@@ -126,6 +135,22 @@ class TestDcParity:
             # Converging circuits at different iteration counts exercises the
             # not-yet-converged active-slice bookkeeping.
             assert solution.iterations == reference.iterations
+
+    def test_initial_guesses_seed_each_lane(self):
+        """Per-lane guesses match each circuit's K = 1 ``initial_guess``."""
+        circuits = _variants(_mosfet_amplifier, "vg", [0.5, 0.7, 0.9])
+        guesses = [None, {"d": 0.9}, {"d": 0.2, "unknown": 5.0}]
+        plan = BatchedMNAPlan.from_circuits(circuits)
+        stacked = plan.dc_operating_points(initial_guesses=guesses)
+        for circuit, guess, solution in zip(circuits, guesses, stacked):
+            reference = circuit.dc_operating_point(initial_guess=guess)
+            assert solution.node_voltages == reference.node_voltages
+            assert solution.source_currents == reference.source_currents
+            assert solution.iterations == reference.iterations
+        # The guess really seeds the iteration: a different start takes a
+        # different number of Newton steps.
+        unseeded = plan.dc_operating_points()
+        assert stacked[1].iterations != unseeded[1].iterations
 
 
 class TestPlanConstruction:
