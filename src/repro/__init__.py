@@ -52,9 +52,6 @@ from repro.api import (
     seed_everything,
 )
 
-# Legacy entry points: importable for backward compatibility; calling the
-# factory functions emits a DeprecationWarning (see repro.api for the
-# replacements).
 from repro.agents import (
     CheckpointError,
     PolicyCheckpoint,
@@ -64,10 +61,6 @@ from repro.agents import (
     deploy_policy_batch,
     evaluate_deployment,
     load_checkpoint,
-    make_baseline_a_policy,
-    make_baseline_b_policy,
-    make_gat_fc_policy,
-    make_gcn_fc_policy,
     save_checkpoint,
 )
 from repro.circuits import (
@@ -77,7 +70,6 @@ from repro.circuits import (
     build_rf_pa,
     build_two_stage_opamp,
 )
-from repro.env import make_opamp_env, make_rf_pa_env, make_rf_pa_fom_env
 from repro.nn import inference_mode
 from repro.orchestrate import ArtifactStore, SweepConfig, SweepResult, run_sweep
 from repro.parallel import DiskSimulationCache, SimulationCache, VectorCircuitEnv
@@ -136,16 +128,9 @@ __all__ = [
     "load_surrogate",
     "list_optimizers",
     "list_policies",
-    "make_baseline_a_policy",
-    "make_baseline_b_policy",
     "make_env",
-    "make_gat_fc_policy",
-    "make_gcn_fc_policy",
-    "make_opamp_env",
     "make_optimizer",
     "make_policy",
-    "make_rf_pa_env",
-    "make_rf_pa_fom_env",
     "register_env",
     "register_optimizer",
     "register_policy",

@@ -4,9 +4,8 @@ Static half (:mod:`repro.analysis.engine` + :mod:`repro.analysis.rules`):
 an AST lint engine whose rules encode the invariants this platform actually
 depends on — seeded-RNG-only determinism (REP-DET01), no wall-clock in
 determinism-critical code (REP-DET02), lock discipline on thread-shared
-serve state (REP-LOCK01), atomic artifact publication (REP-IO01), no
-internal imports of deprecation shims (REP-API01), and no unannotated
-float-literal equality (REP-FLT01).  Run it with::
+serve state (REP-LOCK01), atomic artifact publication (REP-IO01), and no
+unannotated float-literal equality (REP-FLT01).  Run it with::
 
     python -m repro.run analyze src/
 

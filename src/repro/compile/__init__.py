@@ -1,16 +1,12 @@
 """Compiled per-topology execution plans for the serving/rollout hot path.
 
-The interpreted stack is written for clarity: every policy inference walks a
-Module tree, and every environment step runs ``K`` independent scalar
-simulator calls, each MNA analysis a one-circuit stack of its own.  This
-package trades that flexibility for speed **without trading away a single
-bit of behaviour**:
+The interpreted stack is written for clarity: every environment step runs
+``K`` independent scalar simulator calls, each MNA analysis a one-circuit
+stack of its own.  This package trades that flexibility for speed **without
+trading away a single bit of behaviour**:
 
-* :func:`compile_policy` / :class:`CompiledPolicyPlan` — trace one
-  ``ActorCriticPolicy`` batched forward into a flat list of array ops with
-  the topology's adjacency operators baked in; replay does zero
-  Module/Tensor dispatch and is probed bitwise against the interpreted
-  ``act_batch`` at build time.
+* :func:`build_simulator_kernel` — a batched simulator kernel evaluating
+  all ``K`` per-env sizings of one topology in one vectorized pass.
 * :class:`BatchedMNAPlan` — the one MNA engine: stamp all ``K`` per-env
   MNA systems of one topology into a single stacked ``(K, n, n)`` tensor
   built once (structure at plan time, parameter-dependent entries restamped
@@ -25,16 +21,14 @@ bit of behaviour**:
   uncompilable configuration falls back to the interpreted path once and
   quietly ("degrades gracefully, never wrongly").
 
-Anything the tracer cannot reproduce bitwise — subclassed modules, unshared
-simulators, cache subclasses, unknown simulator types, or a build-time probe
-mismatch — raises :class:`UntraceableError` and the caller keeps using the
-interpreted code.
+Anything the tracer cannot reproduce bitwise — unshared simulators, cache
+subclasses, unknown simulator types, or a build-time probe mismatch — raises
+:class:`UntraceableError` and the caller keeps using the interpreted code.
 """
 
 from repro.compile.errors import UntraceableError
 from repro.compile.plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache, PlanCacheStats
 from repro.compile.mna_plan import BatchedMNAPlan, solve_chunk_rows
-from repro.compile.policy_plan import CompiledPolicyPlan, compile_policy
 from repro.compile.sim_kernels import (
     CmOtaKernel,
     KernelResult,
@@ -50,8 +44,6 @@ __all__ = [
     "DEFAULT_PLAN_CACHE_SIZE",
     "BatchedMNAPlan",
     "solve_chunk_rows",
-    "CompiledPolicyPlan",
-    "compile_policy",
     "CompiledEpisodePlan",
     "KernelResult",
     "OpAmpKernel",

@@ -11,8 +11,9 @@
   or the step budget exhausted — 50 steps for the op-amp, 30 for the RF PA).
 
 The same environment class serves the op-amp and the RF PA; only the
-benchmark, the simulator, and the reward function differ (see
-:mod:`repro.env.registry`).
+benchmark, the simulator, and the reward function differ (see the
+environment IDs registered in :mod:`repro.api.catalog`, built with
+``repro.make_env``).
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class DataProcessor:
 
         Every :class:`~repro.env.spaces.Observation` this processor emits
         carries this exact array object, so identity-keyed operator caches
-        (e.g. ``GraphEncoder``) and the compiled-plan tracer can rely on it.
+        (e.g. ``GraphEncoder``) can rely on it.
         Treat it as read-only.
         """
         return self._adjacency

@@ -155,9 +155,8 @@ class GATLayer(Module):
     def attention_mask(adjacency: np.ndarray) -> np.ndarray:
         """Binary attention mask (adjacency + self-loops) used by every head.
 
-        Exposed so the compiled-plan tracer (:mod:`repro.compile`) can bake
-        the mask once per topology; both forwards derive it through this
-        helper so the baked constant is bitwise-identical by construction.
+        Both forwards derive it through this helper, so the Tensor and
+        grad-free forwards mask bitwise-identically by construction.
         """
         adjacency = np.asarray(adjacency, dtype=np.float64)
         return ((adjacency + np.eye(adjacency.shape[0])) > 0).astype(np.float64)
@@ -345,26 +344,18 @@ class GraphEncoder(Module):
             return self.layer_sizes[-1] * self.num_nodes
         return self.layer_sizes[-1]
 
-    def bake_operator(self, adjacency: np.ndarray) -> np.ndarray:
-        """Derive the layer-ready operator for ``adjacency`` (no caching).
-
-        GCN layers consume the symmetrically normalized adjacency, GAT layers
-        the raw float adjacency.  Exposed so the compiled-plan tracer
-        (:mod:`repro.compile`) bakes exactly the operator the interpreted
-        forward would derive.
-        """
-        if self.kind == "gcn":
-            return normalized_adjacency(adjacency)
-        return np.asarray(adjacency, dtype=np.float64)
-
     def _resolve_operator(self, adjacency: np.ndarray) -> np.ndarray:
         """The layer-ready operator for ``adjacency``, via the one-entry cache.
 
-        Shared by the graded and grad-free forwards so both always derive
-        (and cache) the operator identically.
+        GCN layers consume the symmetrically normalized adjacency, GAT layers
+        the raw float adjacency.  Shared by the graded and grad-free forwards
+        so both always derive (and cache) the operator identically.
         """
         if self._operator_source is not adjacency or self._operator is None:
-            operator = self.bake_operator(adjacency)
+            if self.kind == "gcn":
+                operator = normalized_adjacency(adjacency)
+            else:
+                operator = np.asarray(adjacency, dtype=np.float64)
             self._operator_source = adjacency if isinstance(adjacency, np.ndarray) else None
             self._operator = operator
         return self._operator

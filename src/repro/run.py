@@ -25,10 +25,6 @@ against the project's invariant rules (:mod:`repro.analysis.cli`);
 (:mod:`repro.experiments.yield_cli`).  The serving subcommands pull in the
 nn/agents stack only when used.
 
-The pre-subcommand invocation ``python -m repro.run CONFIG.json [flags]``
-still works but emits a :class:`DeprecationWarning`; use
-``python -m repro.run sweep CONFIG.json``.
-
 Exit status: 0 on success (for ``sweep``: every unit completed or was
 skipped via the artifact store), 1 when any sweep unit failed, 2 on bad
 input or an unknown command.
@@ -39,8 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 COMMANDS = ("sweep", "deploy", "serve", "surrogate", "analyze", "yield")
@@ -80,10 +74,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-unit progress lines (summary still prints)")
     return parser
-
-
-# Kept under its old name for pre-subcommand callers.
-build_parser = build_sweep_parser
 
 
 def load_sweep(path: str):
@@ -183,17 +173,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.experiments.yield_cli import main_yield
 
         return main_yield(rest)
-    # Pre-subcommand invocation: `python -m repro.run CONFIG.json [flags]`.
-    # Recognized by a config-file-looking first token (or a leading flag, for
-    # shapes like `--expand sweep.json`) and routed to `sweep` with a warning.
-    if command.startswith("-") or command.endswith(".json") or Path(command).exists():
-        warnings.warn(
-            "'python -m repro.run CONFIG.json' is deprecated; use "
-            "'python -m repro.run sweep CONFIG.json'",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return main_sweep(argv)
     print(
         f"error: unknown command {command!r} (commands: {', '.join(COMMANDS)})",
         file=sys.stderr,

@@ -22,8 +22,8 @@ gateway stats document, and ``GET /v1/healthz`` answers liveness probes.
 Both transports drain cleanly on EOF / Ctrl-C: accepted requests are
 answered before exit.
 
-Request-document formats are documented in :mod:`repro.serve.protocol`
-(the legacy ``specs.json`` shapes still parse, with a ``DeprecationWarning``).
+The v1 request-document format is documented in :mod:`repro.serve.protocol`;
+any other shape is bad input.
 Exit status: 0 when the transport shut down cleanly (designs that miss
 their specs are results, not errors), 2 on bad input.
 """

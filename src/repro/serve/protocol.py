@@ -17,16 +17,14 @@ API, the ``python -m repro.run serve`` NDJSON/HTTP front ends, and the
 Both dataclasses carry ``schema_version`` (currently ``1``) and round-trip
 strictly through ``to_json`` / ``from_json``: unknown fields are rejected
 with the known field names listed, and future schema versions fail with a
-message naming the version this build speaks.  The pre-gateway ``specs.json``
-target documents still parse — through a back-compat shim that emits a
-:class:`DeprecationWarning` (see :func:`parse_requests_document` and the
-legacy entry points in :mod:`repro.serve.specs`).
+message naming the version this build speaks.  A request document must be
+the v1 ``{"schema_version": 1, "requests": [...]}`` object; any other shape
+is rejected with a message showing that shape.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -160,8 +158,8 @@ class ServeRequest:
         _check_known_fields(data, _REQUEST_FIELDS, "request")
         if "target_specs" not in data:
             raise ValueError(
-                "a serve request needs a 'target_specs' object "
-                "(legacy bare spec mappings parse via repro.serve.specs)"
+                "a serve request needs a 'target_specs' object, e.g. "
+                '{"target_specs": {"gain": 350.0, ...}}'
             )
         return cls(
             target_specs=_spec_mapping(data["target_specs"], "target_specs"),
@@ -332,7 +330,19 @@ class ServeResponse:
 _DOCUMENT_FIELDS = ("schema_version", "requests", "env_id", "max_steps")
 
 
-def _parse_v1_document(document: Mapping[str, Any]) -> List[ServeRequest]:
+def parse_requests_document(document: Any) -> List[ServeRequest]:
+    """Parse a v1 request document.
+
+    The document is an object with a ``requests`` list (each entry a
+    :class:`ServeRequest` document) plus optional document-wide ``env_id`` /
+    ``max_steps`` defaults and a ``schema_version``.  Any other shape raises
+    :class:`ValueError` showing the expected one.
+    """
+    if not (isinstance(document, Mapping) and "requests" in document):
+        raise ValueError(
+            "a request document must be an object with a 'requests' list: "
+            '{"schema_version": 1, "requests": [{"target_specs": {...}}, ...]}'
+        )
     _check_known_fields(document, _DOCUMENT_FIELDS, "request document")
     if "schema_version" in document:
         _check_schema_version(document["schema_version"], "request document")
@@ -357,105 +367,8 @@ def _parse_v1_document(document: Mapping[str, Any]) -> List[ServeRequest]:
     return parsed
 
 
-def _parse_legacy_target(
-    entry: Any,
-    position: int,
-    default_env: Optional[str],
-    default_max_steps: Optional[int],
-) -> ServeRequest:
-    if not isinstance(entry, Mapping):
-        raise ValueError(f"target #{position} must be an object, got {type(entry).__name__}")
-    if "specs" in entry:
-        unknown = set(entry) - {"specs", "env", "max_steps"}
-        if unknown:
-            raise ValueError(
-                f"target #{position} has unknown keys {sorted(unknown)} "
-                "(expected 'specs', 'env', 'max_steps')"
-            )
-        specs = entry["specs"]
-        if not isinstance(specs, Mapping):
-            raise ValueError(f"target #{position}: 'specs' must be an object")
-        env_id = entry.get("env", default_env)
-        max_steps = entry.get("max_steps", default_max_steps)
-    else:
-        specs = entry
-        env_id = default_env
-        max_steps = default_max_steps
-    try:
-        target = {str(name): float(value) for name, value in specs.items()}
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"target #{position} has a non-numeric specification value: {exc}"
-        ) from exc
-    if not target:
-        raise ValueError(f"target #{position} is empty")
-    return ServeRequest(
-        target_specs=target,
-        env_id=env_id,
-        max_steps=int(max_steps) if max_steps is not None else None,
-    )
-
-
-def parse_legacy_document(document: Any) -> List[ServeRequest]:
-    """Parse a pre-gateway ``specs.json`` targets document (no warning).
-
-    The deprecation shims (:func:`parse_requests_document`'s legacy branch
-    and :mod:`repro.serve.specs`) wrap this with their own warnings.
-    """
-    default_env: Optional[str] = None
-    default_max_steps: Optional[int] = None
-    if isinstance(document, Mapping):
-        unknown = set(document) - {"targets", "env", "max_steps"}
-        if unknown:
-            raise ValueError(
-                f"unknown top-level keys {sorted(unknown)} "
-                "(expected 'targets', 'env', 'max_steps')"
-            )
-        if "targets" not in document:
-            raise ValueError("a spec document object needs a 'targets' list")
-        default_env = document.get("env")
-        default_max_steps = document.get("max_steps")
-        targets: Sequence[Any] = document["targets"]
-    elif isinstance(document, Sequence) and not isinstance(document, (str, bytes)):
-        targets = document
-    else:
-        raise ValueError(
-            "a spec document must be an object with a 'targets' list or a bare "
-            f"list of targets, got {type(document).__name__}"
-        )
-    if not isinstance(targets, Sequence) or isinstance(targets, (str, bytes)):
-        raise ValueError("'targets' must be a list")
-    if not targets:
-        raise ValueError("the spec document contains no targets")
-    return [
-        _parse_legacy_target(entry, position, default_env, default_max_steps)
-        for position, entry in enumerate(targets)
-    ]
-
-
-def parse_requests_document(document: Any) -> List[ServeRequest]:
-    """Parse a request document in either the v1 or the legacy format.
-
-    The canonical shape is an object with a ``requests`` list (each entry a
-    :class:`ServeRequest` document) plus optional document-wide ``env_id`` /
-    ``max_steps`` defaults and a ``schema_version``.  The pre-gateway
-    ``specs.json`` shapes (a ``targets`` object or a bare list of spec
-    mappings) still parse but emit a :class:`DeprecationWarning`.
-    """
-    if isinstance(document, Mapping) and "requests" in document:
-        return _parse_v1_document(document)
-    warnings.warn(
-        "legacy specs.json target documents are deprecated; use a "
-        '{"schema_version": 1, "requests": [{"target_specs": {...}}, ...]} '
-        "request document instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return parse_legacy_document(document)
-
-
 def load_requests_document(path: Union[str, Path]) -> List[ServeRequest]:
-    """Read and parse a request-document JSON file (v1 or legacy format)."""
+    """Read and parse a v1 request-document JSON file."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as handle:
         try:

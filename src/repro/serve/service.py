@@ -451,9 +451,6 @@ class DeploymentService:
             )
         return env_id
 
-    # Kept for back-compat with pre-gateway callers.
-    _resolve_env_id = resolve_env_id
-
     @staticmethod
     def _normalize(
         requests: Sequence[Union[ServeRequest, Mapping[str, Any]]],

@@ -1,7 +1,7 @@
 """``python -m repro.run``: the consolidated subcommand tree.
 
-One front door, six subcommands — each with its own ``--help`` — plus the
-deprecated positional-config invocation routed through a warning shim.
+One front door, six subcommands — each with its own ``--help``.  A bare
+config path is not a subcommand.
 """
 
 from __future__ import annotations
@@ -84,18 +84,12 @@ class TestDispatch:
         assert "2 units" in captured.out
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
-    def test_legacy_positional_config_warns_and_still_works(self, sweep_config, capsys):
-        with pytest.warns(DeprecationWarning, match="repro.run sweep"):
-            status = run_module.main([str(sweep_config), "--expand"])
+    def test_positional_config_is_an_unknown_command(self, sweep_config, capsys):
+        status = run_module.main([str(sweep_config), "--expand"])
         captured = capsys.readouterr()
-        assert status == 0
-        assert "2 units" in captured.out
-
-    def test_legacy_subprocess_shows_the_warning(self, sweep_config):
-        completed = run_cli(sweep_config, "--expand")
-        assert completed.returncode == 0, completed.stderr
-        assert "DeprecationWarning" in completed.stderr
-        assert "2 units" in completed.stdout
+        assert status == 2
+        assert f"unknown command {str(sweep_config)!r}" in captured.err
+        assert "2 units" not in captured.out
 
     def test_sweep_subcommand_runs_the_grid(self, sweep_config, tmp_path):
         completed = run_cli("sweep", sweep_config, "--quiet")

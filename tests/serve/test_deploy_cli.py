@@ -123,21 +123,9 @@ class TestDeployCli:
         assert main_deploy([str(checkpoint), str(specs), "--env", "nope-v0"]) == 2
         capsys.readouterr()
 
-    def test_legacy_specs_document_still_deploys(self, checkpoint_and_specs, tmp_path):
-        """The pre-gateway {"targets": [...]} shape parses through the shim."""
-        checkpoint, _ = checkpoint_and_specs
-        legacy = tmp_path / "specs.json"
-        legacy.write_text(json.dumps({"targets": [
-            {"gain": 350.0, "bandwidth": 1.8e7, "phase_margin": 55.0, "power": 4e-3},
-        ]}))
-        completed = run_cli(
-            "deploy", checkpoint, legacy, "--max-steps", "5", "--quiet"
-        )
-        assert completed.returncode == 0, completed.stderr[-2000:]
-        assert "served 1 episodes" in completed.stdout
-
-    def test_legacy_specs_document_warns_in_process(self, checkpoint_and_specs,
-                                                    tmp_path, capsys):
+    def test_legacy_specs_document_is_rejected(self, checkpoint_and_specs, tmp_path,
+                                               capsys):
+        """The pre-gateway {"targets": [...]} shape is bad input (exit 2)."""
         from repro.serve.cli import main_deploy
 
         checkpoint, _ = checkpoint_and_specs
@@ -145,8 +133,8 @@ class TestDeployCli:
         legacy.write_text(json.dumps({"targets": [
             {"gain": 350.0, "bandwidth": 1.8e7, "phase_margin": 55.0, "power": 4e-3},
         ]}))
-        with pytest.warns(DeprecationWarning, match="legacy specs.json"):
-            status = main_deploy([str(checkpoint), str(legacy), "--max-steps", "4",
-                                  "--quiet"])
-        assert status == 0
-        capsys.readouterr()
+        status = main_deploy([str(checkpoint), str(legacy), "--max-steps", "4",
+                              "--quiet"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert '"requests": [' in captured.err

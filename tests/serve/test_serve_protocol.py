@@ -12,7 +12,6 @@ from repro.serve.protocol import (
     ServeRequest,
     ServeResponse,
     load_requests_document,
-    parse_legacy_document,
     parse_requests_document,
 )
 
@@ -177,60 +176,19 @@ class TestV1Documents:
 
 
 class TestLegacyDocuments:
-    def test_document_with_defaults(self):
-        requests = parse_legacy_document(
-            {
-                "env": "opamp-p2s-v0",
-                "max_steps": 60,
-                "targets": [
-                    {"gain": 350.0, "power": 4e-3},
-                    {"specs": {"gain": 400.0}, "max_steps": 30},
-                ],
-            }
-        )
-        assert len(requests) == 2
-        assert requests[0].env_id == "opamp-p2s-v0"
-        assert requests[0].max_steps == 60
-        assert requests[1].max_steps == 30
-        assert requests[1].target_specs == {"gain": 400.0}
-
-    def test_bare_list(self):
-        requests = parse_legacy_document([{"gain": 1.0}, {"gain": 2.0}])
-        assert [r.target_specs for r in requests] == [{"gain": 1.0}, {"gain": 2.0}]
-        assert requests[0].env_id is None
-
     @pytest.mark.parametrize(
-        "document,match",
+        "document",
         [
-            ({}, "targets"),
-            ({"targets": []}, "no targets"),
-            ({"targets": [{"gain": "high"}]}, "non-numeric"),
-            ({"targets": [[1, 2]]}, "must be an object"),
-            ({"targets": [{"specs": {"gain": 1.0}, "bogus": 1}]}, "unknown keys"),
-            ({"bogus": 1, "targets": [{"gain": 1.0}]}, "unknown top-level"),
-            ("not a list", "spec document"),
+            {"targets": [{"gain": 1.0}]},
+            {"env": "opamp-p2s-v0", "targets": [{"specs": {"gain": 1.0}}]},
+            [{"gain": 1.0}],
+            "not a document",
         ],
     )
-    def test_bad_documents(self, document, match):
-        with pytest.raises(ValueError, match=match):
-            parse_legacy_document(document)
+    def test_pre_v1_shapes_are_rejected_with_the_v1_shape(self, document):
+        with pytest.raises(ValueError, match=r'\{"schema_version": 1, "requests": \['):
+            parse_requests_document(document)
 
-    def test_parse_requests_document_warns_on_legacy_shapes(self):
-        with pytest.warns(DeprecationWarning, match="legacy specs.json"):
-            requests = parse_requests_document({"targets": [{"gain": 1.0}]})
-        assert requests[0].target_specs == {"gain": 1.0}
-        with pytest.warns(DeprecationWarning, match="legacy specs.json"):
-            parse_requests_document([{"gain": 1.0}])
-
-    def test_specs_module_shims_warn_but_work(self, tmp_path):
-        from repro.serve import load_spec_requests, parse_spec_requests
-
-        with pytest.warns(DeprecationWarning, match="parse_spec_requests"):
-            requests = parse_spec_requests([{"gain": 2.0}])
-        assert requests[0].target_specs == {"gain": 2.0}
-
-        path = tmp_path / "specs.json"
-        path.write_text(json.dumps({"targets": [{"gain": 3.0}]}))
-        with pytest.warns(DeprecationWarning, match="load_spec_requests"):
-            requests = load_spec_requests(path)
-        assert requests[0].target_specs == {"gain": 3.0}
+    def test_missing_target_specs_shows_the_request_shape(self):
+        with pytest.raises(ValueError, match=r'\{"target_specs": \{'):
+            ServeRequest.from_dict({"env_id": "opamp-p2s-v0"})
